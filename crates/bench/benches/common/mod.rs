@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sparkscore_bench::virtual_duration;
+use sparkscore_bench::{paper_monte_carlo, virtual_duration};
 use sparkscore_core::SparkScoreContext;
 use sparkscore_data::SyntheticConfig;
 use sparkscore_rdd::Engine;
@@ -25,11 +25,12 @@ pub fn context(engine: Arc<Engine>, cfg: &SyntheticConfig) -> SparkScoreContext 
     sparkscore_bench::context_on(engine, cfg)
 }
 
-/// Measure `n` Monte Carlo runs in virtual time.
+/// Measure `n` Monte Carlo runs (the paper harness's one-job-per-replicate
+/// grid) in virtual time.
 pub fn mc_virtual(ctx: &SparkScoreContext, b: usize, cache: bool, n: u64) -> Duration {
     let mut total = Duration::ZERO;
     for i in 0..n {
-        total += virtual_duration(&ctx.monte_carlo(b, 100 + i, cache));
+        total += virtual_duration(paper_monte_carlo(ctx, b, 100 + i, cache).virtual_secs);
     }
     total
 }
@@ -38,7 +39,7 @@ pub fn mc_virtual(ctx: &SparkScoreContext, b: usize, cache: bool, n: u64) -> Dur
 pub fn perm_virtual(ctx: &SparkScoreContext, b: usize, n: u64) -> Duration {
     let mut total = Duration::ZERO;
     for i in 0..n {
-        total += virtual_duration(&ctx.permutation(b, 200 + i));
+        total += virtual_duration(ctx.permutation(b, 200 + i).virtual_secs);
     }
     total
 }

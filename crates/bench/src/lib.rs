@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sparkscore_cluster::{ClusterSpec, ContainerRequest};
-use sparkscore_core::{AnalysisOptions, ResamplingRun, SparkScoreContext};
+use sparkscore_core::{AnalysisOptions, McGridOptions, McGridRun, SparkScoreContext};
 use sparkscore_data::{GwasDataset, SyntheticConfig};
 use sparkscore_rdd::{Engine, EventListener, EventLogListener, StageSummaryListener};
 
@@ -276,7 +276,34 @@ pub fn u_rdd_bytes(cfg: &SyntheticConfig) -> u64 {
     cfg.snps as u64 * cfg.patients as u64 * 8
 }
 
-/// Run Monte Carlo resampling and convert to a measurement series entry.
+/// Algorithm 3 at the paper's granularity: the replicate grid at tile
+/// width 1, so every replicate is its own grid job — one Spark job per
+/// iteration, whose fixed scheduling cost is what Figures 2–7 measure.
+/// Each run builds its own `U` (so runs never share memoized multiplier
+/// tiles), cached for the run when `cache` is set; uncached, every
+/// replicate job recomputes it from its lineage.
+pub fn paper_monte_carlo(
+    ctx: &SparkScoreContext,
+    iterations: usize,
+    seed: u64,
+    cache: bool,
+) -> McGridRun {
+    let u = ctx.u_dataset();
+    if cache {
+        u.cache();
+    }
+    let opts = McGridOptions {
+        tile: 1,
+        ..McGridOptions::fixed(iterations, seed)
+    };
+    let run = ctx.monte_carlo_grid(&u, &opts);
+    if cache {
+        u.unpersist();
+    }
+    run
+}
+
+/// Run [`paper_monte_carlo`] and convert to a measurement series entry.
 pub fn measure_mc(
     ctx: &SparkScoreContext,
     iterations: usize,
@@ -286,7 +313,7 @@ pub fn measure_mc(
     let mut virtuals = Vec::with_capacity(runs);
     let mut walls = Vec::with_capacity(runs);
     for r in 0..runs {
-        let run = ctx.monte_carlo(iterations, 1000 + r as u64, cache);
+        let run = paper_monte_carlo(ctx, iterations, 1000 + r as u64, cache);
         virtuals.push(run.virtual_secs);
         walls.push(run.wall.as_secs_f64());
     }
@@ -319,11 +346,11 @@ pub fn measure_perm(ctx: &SparkScoreContext, iterations: usize, runs: usize) -> 
     }
 }
 
-/// Convert a resampling run's virtual seconds into a `Duration` (for
-/// Criterion's `iter_custom`, so benches report *virtual cluster time*,
-/// the paper's y-axis).
-pub fn virtual_duration(run: &ResamplingRun) -> Duration {
-    Duration::from_secs_f64(run.virtual_secs.max(1e-9))
+/// Convert a run's virtual seconds into a `Duration` (for Criterion's
+/// `iter_custom`, so benches report *virtual cluster time*, the paper's
+/// y-axis).
+pub fn virtual_duration(virtual_secs: f64) -> Duration {
+    Duration::from_secs_f64(virtual_secs.max(1e-9))
 }
 
 // ---------- table printing ----------

@@ -13,7 +13,9 @@
 //! * [`SparkScoreContext::monte_carlo`] — **Algorithm 3**: B draws of
 //!   N(0,1) multipliers perturbing the *cached* `U` RDD
 //!   (`Ũ_j = Σ_i Z_i U_ij`), the cache-friendly scheme whose speedups
-//!   Figs 2–5 of the paper measure.
+//!   Figs 2–5 of the paper measure. Replicates run as a shuffle-free
+//!   replicate-tile × partition grid
+//!   ([`SparkScoreContext::monte_carlo_grid`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,8 +81,9 @@ pub enum WeightsStrategy {
     Join,
     /// Broadcast a dense weight table and look weights up map-side — an
     /// ablation of the paper's design: it removes two shuffle stages per
-    /// resampling iteration at the cost of shipping all weights to every
-    /// node once.
+    /// scoring pass (the observed pass and every permutation replicate) at
+    /// the cost of shipping all weights to every node once. The Monte
+    /// Carlo grid reads weights on the driver and never joins.
     Broadcast,
 }
 
@@ -149,6 +152,10 @@ impl McGridOptions {
     }
 }
 
+/// Identity of a broadcast multiplier tile: `(U dataset id, seed, first
+/// replicate, width)`.
+type TileKey = (u64, u64, u64, u64);
+
 /// One analysis bound to an engine: inputs loaded, model fitted.
 pub struct SparkScoreContext {
     engine: Arc<Engine>,
@@ -174,10 +181,11 @@ pub struct SparkScoreContext {
     /// One past the largest SNP id in any set: the extent of every dense
     /// per-SNP table.
     max_snp: usize,
-    /// Memo of broadcast multiplier tiles keyed `(seed, start, width)`,
-    /// shared across every grid run on this context so repeated
-    /// same-seed queries ship each tile once.
-    mc_tile_cache: BroadcastTileCache<(u64, u64, u64)>,
+    /// Memo of broadcast multiplier tiles keyed `(U dataset, seed, start,
+    /// width)`, shared across the grid runs on this context so repeated
+    /// same-seed queries over one shared `U` ship each tile once. Runs
+    /// over a fresh `U` never hit it.
+    mc_tile_cache: BroadcastTileCache<TileKey>,
     options: AnalysisOptions,
 }
 
@@ -410,26 +418,16 @@ impl SparkScoreContext {
         rows
     }
 
-    /// Algorithm 1 steps 8–12 on a `U` RDD: inner sums (optionally with
-    /// Monte Carlo multipliers), weights join, ω²U², per-set aggregation.
-    fn set_scores_from_u(
-        &self,
-        u: &Dataset<(u64, Vec<f64>)>,
-        mc_multipliers: Option<Broadcast<Vec<f64>>>,
-    ) -> Vec<SetScore> {
+    /// Algorithm 1 steps 8–12 on a `U` RDD — inner sums `U_j = Σ_i U_ij`,
+    /// weights join, ω²U², per-set aggregation — giving the observed
+    /// per-set scores. Also public for callers holding a shared `U` (see
+    /// [`SparkScoreContext::u_dataset`]).
+    pub fn set_scores(&self, u: &Dataset<(u64, Vec<f64>)>) -> Vec<SetScore> {
         let arith_cost = self.num_patients() as f64 * JVM_UNITS_ARITH_PER_PATIENT;
-        let inner = match mc_multipliers {
-            // Observed pass: U_j = Σ_i U_ij.
-            None => u.map_with_cost(arith_cost, |(snp, c)| {
-                let s: f64 = c.iter().sum();
-                (snp, s)
-            }),
-            // MC replicate: Ũ_j = Σ_i Z_i U_ij (Algorithm 3 step 4(I)a).
-            Some(z) => u.map_with_cost(arith_cost, move |(snp, c)| {
-                let s: f64 = c.iter().zip(z.value()).map(|(u, zi)| u * zi).sum();
-                (snp, s)
-            }),
-        };
+        let inner = u.map_with_cost(arith_cost, |(snp, c)| {
+            let s: f64 = c.iter().sum();
+            (snp, s)
+        });
         let lookup = self.snp_to_set.clone();
         let combine = self.options.combine;
         // SKAT sums ω²U² per set; burden sums ωU per set and squares the
@@ -484,17 +482,6 @@ impl SparkScoreContext {
         self.u_rdd(&model_bc)
     }
 
-    /// Algorithm 1 steps 8–12 over a caller-held `U` dataset (see
-    /// [`SparkScoreContext::u_dataset`]): per-set scores, optionally
-    /// under Monte Carlo multipliers (Algorithm 3's replicate pass).
-    pub fn set_scores(
-        &self,
-        u: &Dataset<(u64, Vec<f64>)>,
-        mc_multipliers: Option<Broadcast<Vec<f64>>>,
-    ) -> Vec<SetScore> {
-        self.set_scores_from_u(u, mc_multipliers)
-    }
-
     /// Variant-by-variant analysis (the paper's other GWAS mode): marginal
     /// score, empirical variance, and χ²₁ asymptotic p-value per SNP,
     /// sorted by SNP id.
@@ -526,7 +513,7 @@ impl SparkScoreContext {
         let metrics_start = self.engine.metrics_snapshot();
         let model_bc = self.engine.broadcast(self.model.clone());
         let u = self.u_rdd(&model_bc);
-        let scores = self.set_scores_from_u(&u, None);
+        let scores = self.set_scores(&u);
         ObservedResult {
             scores,
             wall: wall_start.elapsed(),
@@ -536,39 +523,29 @@ impl SparkScoreContext {
     }
 
     /// **Algorithm 3**: Monte Carlo resampling with `num_replicates`
-    /// N(0,1)-multiplier replicates. `use_cache` controls whether the `U`
-    /// RDD is cached between iterations (the paper's Experiment B toggles
-    /// exactly this).
+    /// N(0,1)-multiplier replicates, run on the replicate-tile × partition
+    /// grid of [`SparkScoreContext::monte_carlo_grid`] at the default tile
+    /// width. `use_cache` controls whether the `U` RDD is cached between
+    /// tile jobs (the paper's Experiment B toggles exactly this): uncached,
+    /// every tile job recomputes `U` from its lineage. Multiplier tiles are
+    /// broadcast fresh and dropped after their round — a one-shot run has
+    /// nothing to share with later calls.
     pub fn monte_carlo(&self, num_replicates: usize, seed: u64, use_cache: bool) -> ResamplingRun {
         let wall_start = Instant::now();
         let vt_start = self.engine.virtual_time_secs();
         let metrics_start = self.engine.metrics_snapshot();
 
-        let model_bc = self.engine.broadcast(self.model.clone());
-        let u = self.u_rdd(&model_bc);
+        let u = self.u_dataset();
         if use_cache {
             u.cache(); // Algorithm 3 step 2: "Cache RDD U".
         }
-        let observed = self.set_scores_from_u(&u, None);
-
-        let n = self.num_patients();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = vec![0usize; observed.len()];
-        for _ in 0..num_replicates {
-            let z = self.engine.broadcast(mc_weights(&mut rng, n));
-            let replicate = self.set_scores_from_u(&u, Some(z));
-            for (count, (rep, obs)) in counts.iter_mut().zip(replicate.iter().zip(&observed)) {
-                if rep.score >= obs.score {
-                    *count += 1;
-                }
-            }
-        }
+        let run = self.grid(&u, &McGridOptions::fixed(num_replicates, seed), None);
         if use_cache {
             u.unpersist();
         }
         ResamplingRun {
-            observed,
-            counts_ge: counts,
+            observed: run.observed,
+            counts_ge: run.counts_ge,
             num_replicates,
             wall: wall_start.elapsed(),
             virtual_secs: self.engine.virtual_time_secs() - vt_start,
@@ -619,10 +596,27 @@ impl SparkScoreContext {
     /// adaptivity truncates per-set replicate streams, never re-randomizes
     /// them; the single-machine `monte_carlo_adaptive` is the exact
     /// semantic oracle.
+    ///
+    /// Multiplier tiles go through the context-wide memo, so repeated
+    /// same-seed runs over one shared `U` handle (the gene-query service)
+    /// re-ship nothing, while runs over separately built `U`s never share
+    /// a tile.
     pub fn monte_carlo_grid(
         &self,
         u: &Dataset<(u64, Vec<f64>)>,
         opts: &McGridOptions,
+    ) -> McGridRun {
+        self.grid(u, opts, Some(&self.mc_tile_cache))
+    }
+
+    /// The grid run behind [`SparkScoreContext::monte_carlo_grid`] and
+    /// [`SparkScoreContext::monte_carlo`]: multiplier tiles come from
+    /// `memo` when given, else each is broadcast fresh for its round.
+    fn grid(
+        &self,
+        u: &Dataset<(u64, Vec<f64>)>,
+        opts: &McGridOptions,
+        memo: Option<&BroadcastTileCache<TileKey>>,
     ) -> McGridRun {
         assert!(opts.tile > 0, "tile width must be positive");
         let wall_start = Instant::now();
@@ -643,11 +637,13 @@ impl SparkScoreContext {
         // into a dense table, then combined per set on the driver with the
         // same statistic functions (and summation order) as the oracle.
         let arith_cost = n as f64 * JVM_UNITS_ARITH_PER_PATIENT;
+        // Rows are summed in place: a per-record `map` would clone every
+        // cached `U` row first.
         let mut scores = vec![0.0f64; max_snp];
         for (snp, s) in u
-            .map_with_cost(arith_cost, |(snp, c)| {
-                let s: f64 = c.iter().sum();
-                (snp, s)
+            .map_partitions_ctx(move |ctx, _, rows| {
+                ctx.add_work(rows.len(), arith_cost);
+                rows.iter().map(|(snp, c)| (*snp, c.iter().sum())).collect()
             })
             .collect()
         {
@@ -688,9 +684,12 @@ impl SparkScoreContext {
                     z_tile[i * k + kk] = zi;
                 }
             }
-            let z = self
-                .mc_tile_cache
-                .get_or_broadcast((opts.seed, done as u64, k as u64), z_tile);
+            let z = match memo {
+                Some(memo) => {
+                    memo.get_or_broadcast((u.id().0, opts.seed, done as u64, k as u64), z_tile)
+                }
+                None => self.engine.broadcast(z_tile),
+            };
 
             // Per-SNP activity plane: 0 out of scope, 1 active, 2 member
             // of a decided set (skipped, counted as saved work).
@@ -790,17 +789,6 @@ impl SparkScoreContext {
         }
     }
 
-    /// [`SparkScoreContext::monte_carlo_grid`] over a fresh cached `U`
-    /// dataset: builds the contributions, caches them for the tile jobs,
-    /// runs the grid, and unpersists.
-    pub fn monte_carlo_distributed(&self, opts: &McGridOptions) -> McGridRun {
-        let u = self.u_dataset();
-        u.cache();
-        let run = self.monte_carlo_grid(&u, opts);
-        u.unpersist();
-        run
-    }
-
     /// **Algorithm 2**: permutation resampling with `num_replicates`
     /// phenotype shufflings, each re-running the full score pipeline.
     pub fn permutation(&self, num_replicates: usize, seed: u64) -> ResamplingRun {
@@ -809,7 +797,7 @@ impl SparkScoreContext {
         let metrics_start = self.engine.metrics_snapshot();
 
         let model_bc = self.engine.broadcast(self.model.clone());
-        let observed = self.set_scores_from_u(&self.u_rdd(&model_bc), None);
+        let observed = self.set_scores(&self.u_rdd(&model_bc));
 
         let n = self.num_patients();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -819,7 +807,7 @@ impl SparkScoreContext {
             let shuffled = self.engine.broadcast(self.model.permuted(&perm));
             // "Recalculate step 6 to 12 of Algorithm 1" — a fresh U RDD
             // whose lineage re-reads and re-scores the genotype matrix.
-            let replicate = self.set_scores_from_u(&self.u_rdd(&shuffled), None);
+            let replicate = self.set_scores(&self.u_rdd(&shuffled));
             for (count, (rep, obs)) in counts.iter_mut().zip(replicate.iter().zip(&observed)) {
                 if rep.score >= obs.score {
                     *count += 1;
@@ -881,21 +869,19 @@ mod tests {
 
     #[test]
     fn mc_zero_iterations_equals_observed() {
+        // The grid combines per-set statistics on the driver in the
+        // sequential oracle's summation order, so its observed scores are
+        // the oracle's bit for bit (`observed()`'s `reduce_by_key` order
+        // can differ in the last ulp).
         let ctx = small_context();
-        let obs = ctx.observed();
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let (rows, weights, sets) = dense_oracle_inputs(&ds, ctx.num_patients());
+        let oracle = observed_skat(ctx.model(), &rows, &weights, &sets);
         let run = ctx.monte_carlo(0, 1, true);
-        assert_eq!(run.observed, obs.scores);
+        let observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
+        assert_eq!(observed, oracle);
         assert_eq!(run.counts_ge, vec![0; 10]);
         assert_eq!(run.num_replicates, 0);
-    }
-
-    #[test]
-    fn mc_cached_and_uncached_agree_on_counts() {
-        let ctx = small_context();
-        let cached = ctx.monte_carlo(20, 5, true);
-        let uncached = ctx.monte_carlo(20, 5, false);
-        assert_eq!(cached.counts_ge, uncached.counts_ge);
-        assert_eq!(cached.observed, uncached.observed);
     }
 
     #[test]
@@ -950,7 +936,7 @@ mod tests {
         }
     }
 
-    use sparkscore_stats::resample::{monte_carlo_adaptive, monte_carlo_blocked};
+    use sparkscore_stats::resample::{monte_carlo_adaptive, monte_carlo_blocked, observed_skat};
 
     /// Dense oracle inputs indexed by SNP id: genotype rows, weights, and
     /// sets sorted by id — the layout under which the sequential oracles
@@ -1003,6 +989,37 @@ mod tests {
             assert_eq!(run.tiles, b.div_ceil(tile));
         }
         u.unpersist();
+    }
+
+    #[test]
+    fn mc_cached_and_uncached_match_blocked_oracle_bitwise_without_shuffle() {
+        // The user-facing entry point is the grid at the default tile:
+        // cached or not, at B = 0, a non-multiple of the tile, and a
+        // multiple, observed statistics and counts equal the oracle's bit
+        // for bit (so also each other's), and no byte crosses a shuffle.
+        let ctx = small_context();
+        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let (rows, weights, sets) = dense_oracle_inputs(&ds, ctx.num_patients());
+        for use_cache in [true, false] {
+            for b in [0usize, 45, 64] {
+                let run = ctx.monte_carlo(b, 9, use_cache);
+                let oracle =
+                    monte_carlo_blocked(ctx.model(), &rows, &weights, &sets, b, 9, MC_TILE);
+                let observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
+                assert_eq!(observed, oracle.observed, "cache={use_cache} B={b}");
+                assert_eq!(run.counts_ge, oracle.counts_ge, "cache={use_cache} B={b}");
+                assert_eq!(run.num_replicates, b);
+                assert_eq!(
+                    (
+                        run.metrics.shuffle_bytes_written,
+                        run.metrics.shuffle_bytes_read
+                    ),
+                    (0, 0),
+                    "cache={use_cache} B={b}: {:?}",
+                    run.metrics
+                );
+            }
+        }
     }
 
     #[test]
@@ -1073,7 +1090,10 @@ mod tests {
         let (ctx, listener) =
             context_with_listener(|ds| Phenotype::Survival(ds.phenotypes.clone()));
         let rule = StoppingRule::new(20, 0.2, 0.05);
-        let run = ctx.monte_carlo_distributed(&McGridOptions::adaptive(200, 3, rule));
+        let u = ctx.u_dataset();
+        u.cache();
+        let run = ctx.monte_carlo_grid(&u, &McGridOptions::adaptive(200, 3, rule));
+        u.unpersist();
         let (task_run, task_saved) = listener
             .summaries()
             .iter()

@@ -21,7 +21,9 @@
 //! // A small synthetic cohort (paper §III recipe).
 //! let data = GwasDataset::generate(&SyntheticConfig::small(42));
 //! let ctx = SparkScoreContext::from_memory(engine, &data, 4, AnalysisOptions::default());
-//! // 99 Monte Carlo replicates with the U RDD cached (Algorithm 3).
+//! // 99 Monte Carlo replicates with the U RDD cached (Algorithm 3): the
+//! // replicates run as a shuffle-free (replicate-tile × partition) grid,
+//! // 32 replicates per grid job.
 //! let run = ctx.monte_carlo(99, 7, true);
 //! for (set, p) in run.top_sets(3) {
 //!     println!("set {set}: p = {p:.3}");

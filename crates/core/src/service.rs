@@ -235,7 +235,7 @@ impl AnalysisService {
 fn observed_set_score(cohort: &Cohort, set: u64) -> Result<f64, String> {
     cohort
         .ctx
-        .set_scores(&cohort.u, None)
+        .set_scores(&cohort.u)
         .iter()
         .find(|s| s.set == set)
         .map(|s| s.score)

@@ -1,14 +1,13 @@
 //! Distributed-GEMM planning for multiplier resampling.
 //!
 //! Algorithm 3's resampling pass is a `B×n` by `n×m` matrix multiply.
-//! The grid layout splits the replicate axis into tiles
-//! ([`plan_tiles`]) and runs one engine task per (replicate-tile ×
-//! `U`-partition) cell via [`crate::Dataset::grid_cells`]; the driver
-//! broadcasts each tile's `n×k` multiplier block as the shared operand.
-//! [`BroadcastTileCache`] memoizes those broadcasts so repeated analyses
-//! over the same seed (the multi-tenant service replaying gene queries
-//! against one cohort) ship each tile to the executors once instead of
-//! once per query.
+//! The grid layout splits the replicate axis into tiles and runs one
+//! engine task per (replicate-tile × `U`-partition) cell via
+//! [`crate::Dataset::grid_cells`]; the driver broadcasts each tile's
+//! `n×k` multiplier block as the shared operand. [`BroadcastTileCache`]
+//! memoizes those broadcasts so repeated analyses over the same seed
+//! (the multi-tenant service replaying gene queries against one cohort)
+//! ship each tile to the executors once instead of once per query.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -17,37 +16,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::engine::{Broadcast, Engine};
-
-/// One tile of the replicate axis of the resampling GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicateTile {
-    /// Tile ordinal (0-based, in replicate order).
-    pub index: usize,
-    /// First replicate covered by the tile.
-    pub start: usize,
-    /// Replicates in the tile (`<= tile` for the last one).
-    pub width: usize,
-}
-
-/// Split `total` replicates into tiles of at most `tile` replicates.
-/// Tiles partition `0..total` contiguously and in order, matching the
-/// tile loop of the single-task blocked oracle — the grid's replicate
-/// stream is the oracle's stream cut at the same boundaries.
-pub fn plan_tiles(total: usize, tile: usize) -> Vec<ReplicateTile> {
-    assert!(tile > 0, "tile width must be positive");
-    let mut tiles = Vec::with_capacity(total.div_ceil(tile));
-    let mut start = 0;
-    while start < total {
-        let width = tile.min(total - start);
-        tiles.push(ReplicateTile {
-            index: tiles.len(),
-            start,
-            width,
-        });
-        start += width;
-    }
-    tiles
-}
 
 struct CacheInner<K> {
     map: HashMap<K, Broadcast<Vec<f64>>>,
@@ -58,7 +26,8 @@ struct CacheInner<K> {
 }
 
 /// A bounded memo of broadcast multiplier tiles, keyed by whatever
-/// identifies a tile's content (typically `(seed, start, width)`).
+/// identifies a tile's content (typically `(seed, start, width)`) plus
+/// whatever scopes its reuse (e.g. the dataset it multiplies).
 ///
 /// The cache never *generates* tiles — callers hand it the drawn values —
 /// because multiplier tiles come from one sequential RNG stream: skipping
@@ -142,34 +111,6 @@ impl<K: Eq + Hash + Clone> BroadcastTileCache<K> {
 mod tests {
     use super::*;
     use sparkscore_cluster::ClusterSpec;
-
-    #[test]
-    fn tiles_partition_the_replicate_axis() {
-        let tiles = plan_tiles(101, 32);
-        assert_eq!(tiles.len(), 4);
-        assert_eq!(
-            tiles[0],
-            ReplicateTile {
-                index: 0,
-                start: 0,
-                width: 32
-            }
-        );
-        assert_eq!(
-            tiles[3],
-            ReplicateTile {
-                index: 3,
-                start: 96,
-                width: 5
-            }
-        );
-        let covered: usize = tiles.iter().map(|t| t.width).sum();
-        assert_eq!(covered, 101);
-        for w in tiles.windows(2) {
-            assert_eq!(w[0].start + w[0].width, w[1].start);
-        }
-        assert!(plan_tiles(0, 8).is_empty());
-    }
 
     #[test]
     fn tile_cache_hits_on_repeat_and_evicts_fifo() {

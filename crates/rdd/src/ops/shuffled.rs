@@ -21,6 +21,11 @@ use crate::ops::{materialize, Data, Op};
 use crate::shuffle::{Bucket, DetHashMap, HashPartitioner, ShuffleStage};
 use crate::{OpId, ShuffleId};
 
+/// Re-runs of one lost map task a fetch attempts before giving up: each
+/// restores the output, and only a fault racing the fetch can drop it
+/// again.
+const MAX_MAP_RERUNS: usize = 8;
+
 /// How values are combined into per-key combiners (Spark's `Aggregator`).
 pub struct Aggregator<V, C> {
     pub create: Arc<dyn Fn(V) -> C + Send + Sync>,
@@ -157,12 +162,15 @@ where
             .enumerate()
             .map(|(map_part, bucket)| {
                 // Recovery stays per-bucket: only re-run maps whose output is
-                // actually gone, then re-fetch just that bucket.
+                // actually gone, then re-fetch just that bucket. A fault fired
+                // by a concurrent task can drop the restored output again
+                // before this fetch reads it, so the re-run is retried.
                 let bucket = bucket.unwrap_or_else(|| {
-                    engine.rerun_map_task_inline(sid, map_part, ctx);
-                    engine
-                        .shuffle
-                        .get_bucket(sid, map_part, reduce_part)
+                    (0..MAX_MAP_RERUNS)
+                        .find_map(|_| {
+                            engine.rerun_map_task_inline(sid, map_part, ctx);
+                            engine.shuffle.get_bucket(sid, map_part, reduce_part)
+                        })
                         .expect("re-run map task must restore its shuffle output")
                 });
                 ctx.add_shuffle_read(bucket.bytes);

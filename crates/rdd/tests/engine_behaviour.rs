@@ -350,7 +350,12 @@ fn node_death_mid_job_recovers_from_lineage() {
 
 #[test]
 fn lost_shuffle_output_is_rerun_inline() {
-    let e = engine(2);
+    // One host thread runs the reduce tasks one after another, so the
+    // loss after the second task always precedes the later tasks'
+    // fetches (with parallel tasks every fetch can land before it).
+    let e = Engine::builder(ClusterSpec::test_small(2))
+        .host_threads(1)
+        .build();
     let pairs: Vec<(u64, u64)> = (0..300).map(|x| (x % 11, 1)).collect();
     let counted = e.parallelize(pairs, 6).reduce_by_key(4, |a, b| a + b);
     let first = counted.collect_as_map();

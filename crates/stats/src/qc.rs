@@ -18,7 +18,7 @@ use crate::dist::chi2_sf;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidDosage {
     /// Patient index of the offending value.
-    pub index: usize,
+    pub index: u32,
     pub value: u8,
 }
 
@@ -35,11 +35,14 @@ impl std::fmt::Display for InvalidDosage {
 impl std::error::Error for InvalidDosage {}
 
 /// Genotype counts for one SNP: carriers of 0, 1, and 2 minor alleles.
+/// The counts (and [`InvalidDosage::index`]) are `u32`, which keeps a
+/// per-SNP QC verdict at 16 bytes instead of 32; QC tables hold one per
+/// SNP, and no cohort approaches `u32::MAX` patients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GenotypeCounts {
-    pub homozygous_ref: usize,
-    pub heterozygous: usize,
-    pub homozygous_alt: usize,
+    pub homozygous_ref: u32,
+    pub heterozygous: u32,
+    pub homozygous_alt: u32,
 }
 
 impl GenotypeCounts {
@@ -47,8 +50,12 @@ impl GenotypeCounts {
     /// [`InvalidDosage`] (previously a debug-only concern that release
     /// builds scored silently).
     pub fn from_dosages(g: &[u8]) -> Result<Self, InvalidDosage> {
+        assert!(
+            u32::try_from(g.len()).is_ok(),
+            "more than u32::MAX patients"
+        );
         let mut c = GenotypeCounts::default();
-        for (index, &d) in g.iter().enumerate() {
+        for (index, &d) in (0u32..).zip(g) {
             match d {
                 0 => c.homozygous_ref += 1,
                 1 => c.heterozygous += 1,
@@ -66,25 +73,26 @@ impl GenotypeCounts {
     /// [`GenotypeCounts::from_dosages`] this is infallible.
     pub fn from_packed(packed: &[u8], num_patients: usize) -> (Self, usize) {
         let c = bitkern::count_codes(packed, num_patients);
+        let count = |x: usize| u32::try_from(x).expect("more than u32::MAX patients");
         (
             GenotypeCounts {
-                homozygous_ref: c.hom_ref,
-                heterozygous: c.het,
-                homozygous_alt: c.hom_alt,
+                homozygous_ref: count(c.hom_ref),
+                heterozygous: count(c.het),
+                homozygous_alt: count(c.hom_alt),
             },
             c.missing,
         )
     }
 
     pub fn total(&self) -> usize {
-        self.homozygous_ref + self.heterozygous + self.homozygous_alt
+        self.homozygous_ref as usize + self.heterozygous as usize + self.homozygous_alt as usize
     }
 
     /// Allele frequency of the alternate allele.
     pub fn alt_allele_frequency(&self) -> f64 {
         let n = self.total();
         assert!(n > 0, "no genotypes");
-        (self.heterozygous + 2 * self.homozygous_alt) as f64 / (2 * n) as f64
+        (self.heterozygous as usize + 2 * self.homozygous_alt as usize) as f64 / (2 * n) as f64
     }
 
     /// Minor-allele frequency: `min(p, 1 − p)` of the alternate allele.
@@ -215,6 +223,11 @@ mod tests {
         let g = [2u8; 9]; // alt freq 1.0 → MAF 0.
         let c = GenotypeCounts::from_dosages(&g).unwrap();
         assert_eq!(c.minor_allele_frequency(), 0.0);
+    }
+
+    #[test]
+    fn a_qc_verdict_fits_in_16_bytes() {
+        assert!(std::mem::size_of::<Result<GenotypeCounts, QcFailure>>() <= 16);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fault-tolerance demonstration: a node dies in the middle of a Monte
-//! Carlo analysis; the engine loses that node's cached `U` blocks, shuffle
-//! outputs, and DFS replicas, recovers everything from lineage, and the
+//! Carlo analysis; the engine loses that node's cached `U` blocks and DFS
+//! replicas, recovers everything from lineage and replicas, and the
 //! statistical results are bit-for-bit unchanged — the Spark property the
 //! paper highlights ("harnesses the fault-tolerant features of Spark").
 //!
@@ -37,15 +37,18 @@ fn main() {
         clean.num_replicates, clean.metrics.tasks, clean.metrics.recomputed_partitions
     );
 
-    // Same analysis, but node 2 dies after 150 completed tasks, and the
-    // fault injector also drops a cached block every 40 tasks. A memory
-    // listener captures the engine's event stream so the recovery work is
-    // visible, not just inferred from counters.
+    // Same analysis, but node 2 dies halfway through the healthy run's
+    // task count, and the fault injector also drops a cached block every
+    // 5 tasks. A memory listener captures the engine's event stream so the
+    // recovery work is visible, not just inferred from counters.
+    let kill_after = clean.metrics.tasks / 2;
     let events = Arc::new(MemoryEventListener::new());
     let chaotic = Engine::builder(ClusterSpec::m3_2xlarge(4))
         .dfs_block_size(32 * 1024)
         .dfs_replication(2)
-        .fault_plan(FaultPlan::kill_node_after(NodeId(2), 150).with_cached_block_loss_every(40))
+        .fault_plan(
+            FaultPlan::kill_node_after(NodeId(2), kill_after).with_cached_block_loss_every(5),
+        )
         .listener(Arc::clone(&events) as Arc<dyn EventListener>)
         .build();
     let faulty = build(&chaotic, &dataset).monte_carlo(50, 3, true);

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use sparkscore_cluster::{ClusterSpec, FaultPlan, NodeId};
-use sparkscore_core::{AnalysisOptions, SparkScoreContext};
+use sparkscore_core::{AnalysisOptions, ResamplingRun, SparkScoreContext};
 use sparkscore_data::{write_dataset_to_dfs, GwasDataset, SyntheticConfig};
 use sparkscore_rdd::Engine;
 
@@ -25,16 +25,28 @@ fn engine(nodes: u32) -> Arc<Engine> {
         .build()
 }
 
+/// The fault-free run of `analyse` on a 3-node cluster.
+fn clean_run(
+    ds: &GwasDataset,
+    analyse: impl Fn(&SparkScoreContext) -> ResamplingRun,
+) -> ResamplingRun {
+    analyse(&SparkScoreContext::from_memory(
+        engine(3),
+        ds,
+        4,
+        AnalysisOptions::default(),
+    ))
+}
+
 fn baseline_counts(ds: &GwasDataset) -> (Vec<f64>, Vec<usize>) {
-    let ctx = SparkScoreContext::from_memory(engine(3), ds, 4, AnalysisOptions::default());
-    let run = ctx.monte_carlo(15, 42, true);
+    let run = clean_run(ds, |ctx| ctx.monte_carlo(15, 42, true));
     (
         run.observed.iter().map(|s| s.score).collect(),
         run.counts_ge,
     )
 }
 
-fn assert_matches_baseline(run: &sparkscore_core::ResamplingRun, scores: &[f64], counts: &[usize]) {
+fn assert_matches_baseline(run: &ResamplingRun, scores: &[f64], counts: &[usize]) {
     for (got, want) in run.observed.iter().zip(scores) {
         assert!(
             (got.score - want).abs() <= 1e-9 * (1.0 + want.abs()),
@@ -51,13 +63,19 @@ fn assert_matches_baseline(run: &sparkscore_core::ResamplingRun, scores: &[f64],
 #[test]
 fn node_death_mid_analysis_preserves_results() {
     let ds = dataset(1);
-    let (scores, counts) = baseline_counts(&ds);
+    let clean = clean_run(&ds, |ctx| ctx.monte_carlo(15, 42, true));
+    let scores: Vec<f64> = clean.observed.iter().map(|s| s.score).collect();
 
+    // Kill halfway through the clean run's tasks, so the node dies with
+    // part of the cached `U` on it and the remaining jobs still to run.
     let e = engine(3);
-    e.set_fault_plan(FaultPlan::kill_node_after(NodeId(1), 25));
+    e.set_fault_plan(FaultPlan::kill_node_after(
+        NodeId(1),
+        clean.metrics.tasks / 2,
+    ));
     let ctx = SparkScoreContext::from_memory(Arc::clone(&e), &ds, 4, AnalysisOptions::default());
     let run = ctx.monte_carlo(15, 42, true);
-    assert_matches_baseline(&run, &scores, &counts);
+    assert_matches_baseline(&run, &scores, &clean.counts_ge);
     assert!(
         !e.cluster().node(NodeId(1)).is_alive(),
         "the kill must have fired"
@@ -105,14 +123,18 @@ fn periodic_cache_loss_forces_recompute_but_not_errors() {
 
 #[test]
 fn periodic_shuffle_loss_reruns_map_tasks() {
+    // Permutation re-runs the joining, reducing score pipeline per
+    // replicate, so it is the resampling path with shuffles to lose (the
+    // Monte Carlo grid has none).
     let ds = dataset(4);
-    let (scores, counts) = baseline_counts(&ds);
+    let clean = clean_run(&ds, |ctx| ctx.permutation(15, 42));
+    let scores: Vec<f64> = clean.observed.iter().map(|s| s.score).collect();
 
     let e = engine(3);
     e.set_fault_plan(FaultPlan::none().with_shuffle_loss_every(7));
     let ctx = SparkScoreContext::from_memory(Arc::clone(&e), &ds, 4, AnalysisOptions::default());
-    let run = ctx.monte_carlo(15, 42, true);
-    assert_matches_baseline(&run, &scores, &counts);
+    let run = ctx.permutation(15, 42);
+    assert_matches_baseline(&run, &scores, &clean.counts_ge);
     assert!(
         run.metrics.shuffle_map_reruns > 0,
         "shuffle loss must force map re-runs: {:?}",

@@ -50,10 +50,13 @@ fn logged_run(name: &str, cache_budget: Option<u64>, work: impl Fn(&SparkScoreCo
 #[test]
 fn critical_path_matches_shuffle_structure_and_roi_matches_task_sums() {
     // Experiment-C style: a cache-constrained Monte Carlo run (the strong
-    // scaling workload), so hits, misses, and evictions all appear.
+    // scaling workload), so hits, misses, and evictions all appear. The
+    // Monte Carlo grid is shuffle-free, so an observed pass (Algorithm 1's
+    // join and per-set reduce) rides along to give the log shuffle chains.
     let text = logged_run("experiment_c_style", Some(64 * 1024), |ctx| {
         let run = ctx.monte_carlo(4, 11, true);
         assert!(run.metrics.tasks > 0);
+        assert!(ctx.observed().metrics.tasks > 0);
     });
     let trace = ExecutionTrace::parse(&text).expect("parse own log");
 
