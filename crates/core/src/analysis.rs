@@ -119,8 +119,8 @@ pub struct McGridOptions {
     pub seed: u64,
     /// Replicate-tile width (one broadcast + one grid job per tile).
     pub tile: usize,
-    /// Sequential stopping rule; `None` runs the fixed-B statistical
-    /// oracle path.
+    /// Sequential stopping rule; `None` runs every set for the full
+    /// budget `B`.
     pub stopping: Option<StoppingRule>,
     /// Restrict the run to these set ids (e.g. one gene query); `None`
     /// scores every set.
@@ -167,8 +167,9 @@ pub struct SparkScoreContext {
     /// packed column-major per partition (4 dosages per byte, so cached
     /// partitions charge the LRU budget a quarter of the byte layout).
     fgm: Dataset<GenotypeBlock>,
-    /// Dense `snp id → set id` lookup, broadcast to tasks.
-    snp_to_set: Broadcast<Vec<u64>>,
+    /// Dense `snp id → ids of the sets holding it` lookup, broadcast to
+    /// tasks. Overlapping sets share SNPs, so a SNP may map to several.
+    snp_to_sets: Broadcast<Vec<Vec<u64>>>,
     /// Dense `snp id → weight` table, present under
     /// [`WeightsStrategy::Broadcast`].
     weights_bc: Option<Broadcast<Vec<f64>>>,
@@ -284,12 +285,12 @@ impl SparkScoreContext {
         union.dedup();
         let max_snp = union.last().map_or(0, |&m| m as usize + 1);
 
-        // Dense snp → set lookup (SNPs outside every set are filtered away
-        // before this is consulted).
-        let mut snp_to_set = vec![u64::MAX; max_snp];
+        // Dense snp → sets lookup (SNPs outside every set are filtered
+        // away before this is consulted).
+        let mut snp_to_sets = vec![Vec::new(); max_snp];
         for set in sets {
             for &m in &set.members {
-                snp_to_set[m] = set.id;
+                snp_to_sets[m].push(set.id);
             }
         }
 
@@ -298,7 +299,7 @@ impl SparkScoreContext {
         let fgm = gm
             .filter(move |(snp, _)| union_bc.value().binary_search(snp).is_ok())
             .map_partitions(move |_, rows| vec![GenotypeBlock::from_rows(num_patients, rows)]);
-        let snp_to_set = engine.broadcast(snp_to_set);
+        let snp_to_sets = engine.broadcast(snp_to_sets);
         let mut set_ids: Vec<u64> = sets.iter().map(|s| s.id).collect();
         set_ids.sort_unstable();
         let mut sets_sorted: Vec<SnpSet> = sets.to_vec();
@@ -324,7 +325,7 @@ impl SparkScoreContext {
             model,
             weights_rdd,
             fgm,
-            snp_to_set,
+            snp_to_sets,
             weights_bc,
             set_ids,
             sets: sets_sorted,
@@ -428,7 +429,7 @@ impl SparkScoreContext {
             let s: f64 = c.iter().sum();
             (snp, s)
         });
-        let lookup = self.snp_to_set.clone();
+        let lookup = self.snp_to_sets.clone();
         let combine = self.options.combine;
         // SKAT sums ω²U² per set; burden sums ωU per set and squares the
         // total.
@@ -447,8 +448,14 @@ impl SparkScoreContext {
                 inner.map(move |(snp, u_stat)| (snp, weigh(u_stat, table.value()[snp as usize])))
             }
         };
+        // A SNP shared by overlapping sets counts towards each of them.
         let per_set = per_snp_term
-            .map(move |(snp, term)| (lookup.value()[snp as usize], term))
+            .flat_map(move |(snp, term)| {
+                lookup.value()[snp as usize]
+                    .iter()
+                    .map(|&set| (set, term))
+                    .collect()
+            })
             .reduce_by_key(self.options.reduce_partitions, |a, b| a + b);
         let scores = per_set.collect_as_map();
         self.set_ids
@@ -691,13 +698,14 @@ impl SparkScoreContext {
                 None => self.engine.broadcast(z_tile),
             };
 
-            // Per-SNP activity plane: 0 out of scope, 1 active, 2 member
-            // of a decided set (skipped, counted as saved work).
+            // Per-SNP activity plane: 0 out of scope, 1 member of decided
+            // sets only (skipped, counted as saved work), 2 live. A row
+            // shared by a decided and an undecided set stays live.
             let mut activity = vec![0u8; max_snp];
             for (s, set) in sets.iter().enumerate() {
-                let mark = if decided[s] { 2u8 } else { 1u8 };
+                let mark = if decided[s] { 1u8 } else { 2u8 };
                 for &j in &set.members {
-                    activity[j] = mark;
+                    activity[j] = activity[j].max(mark);
                 }
             }
             let activity = self.engine.broadcast(activity);
@@ -711,11 +719,11 @@ impl SparkScoreContext {
                 let act = activity.value();
                 for (snp, c) in rows {
                     match act.get(*snp as usize).copied().unwrap_or(0) {
-                        1 => {
+                        2 => {
                             ids.push(*snp);
                             urows.push(c.as_slice());
                         }
-                        2 => skipped += 1,
+                        1 => skipped += 1,
                         _ => {}
                     }
                 }
@@ -838,11 +846,23 @@ mod tests {
     use sparkscore_data::SyntheticConfig;
 
     fn small_context() -> SparkScoreContext {
+        context_for(&GwasDataset::generate(&SyntheticConfig::small(17)))
+    }
+
+    fn context_for(ds: &GwasDataset) -> SparkScoreContext {
         let engine = Engine::builder(ClusterSpec::test_small(3))
             .host_threads(2)
             .build();
-        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
-        SparkScoreContext::from_memory(engine, &ds, 4, AnalysisOptions::default())
+        SparkScoreContext::from_memory(engine, ds, 4, AnalysisOptions::default())
+    }
+
+    /// `small(17)` with set 0 also holding every member of set 1, so the
+    /// two sets share SNPs as overlapping gene annotations do.
+    fn overlapping_dataset() -> GwasDataset {
+        let mut ds = GwasDataset::generate(&SyntheticConfig::small(17));
+        let shared = ds.sets[1].members.clone();
+        ds.sets[0].members.extend(shared);
+        ds
     }
 
     #[test]
@@ -1024,28 +1044,34 @@ mod tests {
 
     #[test]
     fn grid_adaptive_matches_sequential_adaptive_oracle() {
-        let ctx = small_context();
-        let ds = GwasDataset::generate(&SyntheticConfig::small(17));
-        let (rows, weights, sets) = dense_oracle_inputs(&ds, ctx.num_patients());
-        let rule = StoppingRule::new(20, 0.2, 0.05);
-        let opts = McGridOptions {
-            num_replicates: 200,
-            seed: 3,
-            tile: 16,
-            stopping: Some(rule),
-            set_filter: None,
-        };
-        let u = ctx.u_dataset();
-        u.cache();
-        let run = ctx.monte_carlo_grid(&u, &opts);
-        u.unpersist();
-        let oracle = monte_carlo_adaptive(ctx.model(), &rows, &weights, &sets, 200, 3, 16, &rule);
-        let grid_observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
-        assert_eq!(grid_observed, oracle.observed);
-        assert_eq!(run.counts_ge, oracle.counts_ge);
-        assert_eq!(run.replicates_used, oracle.replicates_used);
-        assert_eq!(run.replicates_run, oracle.replicates_run);
-        assert_eq!(run.replicates_saved, oracle.replicates_saved);
+        // Second case: overlapping sets. A row shared by a decided and an
+        // undecided set must stay live, or the undecided set reads the
+        // previous tile's perturbed score.
+        let disjoint = GwasDataset::generate(&SyntheticConfig::small(17));
+        for (ds, seed) in [(disjoint, 3), (overlapping_dataset(), 1)] {
+            let ctx = context_for(&ds);
+            let (rows, weights, sets) = dense_oracle_inputs(&ds, ctx.num_patients());
+            let rule = StoppingRule::new(20, 0.2, 0.05);
+            let opts = McGridOptions {
+                num_replicates: 200,
+                seed,
+                tile: 16,
+                stopping: Some(rule),
+                set_filter: None,
+            };
+            let u = ctx.u_dataset();
+            u.cache();
+            let run = ctx.monte_carlo_grid(&u, &opts);
+            u.unpersist();
+            let oracle =
+                monte_carlo_adaptive(ctx.model(), &rows, &weights, &sets, 200, seed, 16, &rule);
+            let grid_observed: Vec<f64> = run.observed.iter().map(|s| s.score).collect();
+            assert_eq!(grid_observed, oracle.observed, "seed={seed}");
+            assert_eq!(run.counts_ge, oracle.counts_ge, "seed={seed}");
+            assert_eq!(run.replicates_used, oracle.replicates_used, "seed={seed}");
+            assert_eq!(run.replicates_run, oracle.replicates_run, "seed={seed}");
+            assert_eq!(run.replicates_saved, oracle.replicates_saved, "seed={seed}");
+        }
     }
 
     #[test]

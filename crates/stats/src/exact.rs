@@ -89,7 +89,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resample::{monte_carlo, permutation};
+    use crate::resample::{monte_carlo_blocked, permutation, MC_TILE};
     use crate::score::{GaussianScore, Survival};
 
     #[test]
@@ -154,7 +154,7 @@ mod tests {
         let (model, rows, weights, sets) = tiny_problem();
         let exact =
             exact_permutation_pvalues(&model, |p| model.permuted(p), &rows, &weights, &sets);
-        let mc = monte_carlo(&model, &rows, &weights, &sets, 4000, 5).pvalues();
+        let mc = monte_carlo_blocked(&model, &rows, &weights, &sets, 4000, 5, MC_TILE).pvalues();
         assert!(
             (exact[0] - mc[0]).abs() < 0.15,
             "mc {} vs exact {}",

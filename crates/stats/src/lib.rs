@@ -26,7 +26,7 @@
 //! ```
 //! use sparkscore_stats::score::{CoxScore, ScoreModel, Survival};
 //! use sparkscore_stats::skat::SnpSet;
-//! use sparkscore_stats::resample::monte_carlo;
+//! use sparkscore_stats::resample::{monte_carlo_blocked, MC_TILE};
 //!
 //! let phenotypes = vec![
 //!     Survival::event_at(3.0),
@@ -38,7 +38,7 @@
 //! let weights = vec![1.0, 1.0];
 //! let sets = vec![SnpSet::new(0, vec![0, 1])];
 //! let model = CoxScore::new(&phenotypes);
-//! let result = monte_carlo(&model, &genotype_rows, &weights, &sets, 99, 42);
+//! let result = monte_carlo_blocked(&model, &genotype_rows, &weights, &sets, 99, 42, MC_TILE);
 //! let p = result.pvalues()[0];
 //! assert!(p > 0.0 && p <= 1.0);
 //! ```
@@ -60,11 +60,11 @@ pub mod skat;
 pub mod special;
 
 pub use covariates::AdjustedGaussianScore;
-pub use linalg::{perturb_rows_blocked, perturb_scores_blocked};
+pub use linalg::perturb_rows_blocked;
 pub use pvalue::StoppingRule;
 pub use resample::{
-    monte_carlo, monte_carlo_adaptive, monte_carlo_blocked, monte_carlo_per_iteration,
-    observed_scores, observed_skat, permutation, AdaptiveResult, ResamplingResult, MC_TILE,
+    monte_carlo_adaptive, monte_carlo_blocked, observed_scores, observed_skat, permutation,
+    AdaptiveResult, ResamplingResult, MC_TILE,
 };
 pub use score::{BinomialScore, CoxScore, GaussianScore, ScoreModel, Survival, MISSING_DOSAGE};
 pub use skat::{burden_statistic, skat_all, skat_statistic, SnpSet};

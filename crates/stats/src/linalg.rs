@@ -219,43 +219,26 @@ pub fn residualize(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
 const PERTURB_I_TILE: usize = 256;
 
 /// Blocked Monte Carlo multiplier kernel — the GEMM-shaped core of
-/// Algorithm 3. Computes `out[j·k + kk] = Σ_i U[j·n + i] · Z[i·k + kk]`:
+/// Algorithm 3. Computes `out[r·k + kk] = Σ_i rows[r][i] · Z[i·k + kk]`:
 /// each of `k` replicates' perturbed scores `Ũ_j = Σ_i Z_i U_ij` for every
-/// SNP `j`, in one pass over the contribution matrix instead of `k`.
+/// given `U` row, in one pass over the rows instead of `k`.
 ///
-/// * `contribs` — row-major `num_snps × num_patients` contribution matrix
-///   (the cached `U`).
+/// * `rows` — a gather of `U` rows (the cached contributions), each
+///   `num_patients` long. Rows need not be contiguous: this is the shape
+///   each partition of the distributed resampling grid holds, and the
+///   sequential oracle passes the rows still live in a round.
 /// * `z_tile` — patient-major `num_patients × k` multiplier tile
 ///   (`z_tile[i·k + kk]` = replicate `kk`'s weight for patient `i`).
-/// * `out` — replicate-major `num_snps × k` output.
+/// * `out` — replicate-major `rows.len() × k` output.
 ///
-/// Bitwise contract: for each `(j, kk)` the accumulation is a single chain
-/// of `acc += u·z` in patient order — exactly the fold the per-iteration
-/// path's `iter().map(|(u, z)| u * z).sum()` performs — so results are
-/// bit-identical to running the replicates one at a time. Patient-tiling
-/// only reorders *which* chain is advanced next, never the order within a
-/// chain; the vectorizable parallelism comes from the `k` independent
-/// chains in the inner loop.
-pub fn perturb_scores_blocked(
-    contribs: &[f64],
-    num_snps: usize,
-    num_patients: usize,
-    z_tile: &[f64],
-    k: usize,
-    out: &mut [f64],
-) {
-    assert_eq!(contribs.len(), num_snps * num_patients, "U dimensions");
-    let rows: Vec<&[f64]> = contribs.chunks_exact(num_patients).collect();
-    perturb_rows_blocked(&rows, num_patients, z_tile, k, out);
-}
-
-/// [`perturb_scores_blocked`] over a gather of independent `U` rows instead
-/// of one contiguous matrix — the shape each partition of the distributed
-/// resampling GEMM holds (`(snp, contribution-row)` records, so the rows a
-/// task sees are contiguous per SNP but scattered between SNPs). Same
-/// bitwise contract: each `(j, kk)` accumulator is one `acc += u·z` chain
-/// in patient order, so a grid of these cells reproduces the single-task
-/// kernel bit for bit.
+/// Bitwise contract: for each `(r, kk)` the accumulation is a single chain
+/// of `acc += u·z` in patient order — exactly the fold a per-replicate
+/// dot product performs — so results are bit-identical to running the
+/// replicates one at a time, and independent of which other rows are in
+/// the gather. Patient-tiling only reorders *which* chain is advanced
+/// next, never the order within a chain; the vectorizable parallelism
+/// comes from the `k` independent chains in the inner loop. A grid of
+/// these cells therefore reproduces the single-task kernel bit for bit.
 pub fn perturb_rows_blocked(
     rows: &[&[f64]],
     num_patients: usize,
@@ -362,8 +345,8 @@ mod tests {
         assert_eq!(d.column(1), &[5.0, 6.0, 7.0]);
     }
 
-    /// Per-replicate reference for the blocked kernel: the exact fold the
-    /// per-iteration resampling path performs.
+    /// Per-replicate reference for the blocked kernel: one dot product
+    /// per `(SNP, replicate)`, folded in patient order.
     fn perturb_naive(u: &[f64], m: usize, n: usize, z: &[f64], k: usize) -> Vec<f64> {
         let mut out = vec![0.0; m * k];
         for j in 0..m {
@@ -386,8 +369,9 @@ mod tests {
         ] {
             let u: Vec<f64> = (0..m * n).map(|v| (v as f64 * 0.37).sin()).collect();
             let z: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.71).cos()).collect();
+            let rows: Vec<&[f64]> = u.chunks_exact(n).collect();
             let mut out = vec![f64::NAN; m * k];
-            perturb_scores_blocked(&u, m, n, &z, k, &mut out);
+            perturb_rows_blocked(&rows, n, &z, k, &mut out);
             assert_eq!(out, perturb_naive(&u, m, n, &z, k), "m={m} n={n} k={k}");
         }
     }
@@ -395,7 +379,7 @@ mod tests {
     #[test]
     fn perturb_blocked_handles_empty_snp_set() {
         let mut out = vec![];
-        perturb_scores_blocked(&[], 0, 10, &[0.5; 20], 2, &mut out);
+        perturb_rows_blocked(&[], 10, &[0.5; 20], 2, &mut out);
         assert!(out.is_empty());
     }
 

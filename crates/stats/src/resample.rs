@@ -17,7 +17,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::dist::sample_standard_normal;
-use crate::linalg::perturb_scores_blocked;
+use crate::linalg::perturb_rows_blocked;
 use crate::pvalue::{empirical_pvalue, StoppingRule};
 use crate::score::ScoreModel;
 use crate::skat::{skat_all, skat_statistic, SnpSet};
@@ -86,35 +86,12 @@ pub fn observed_skat<M: ScoreModel>(
     skat_all(&scores, weights, sets)
 }
 
-/// Algorithm 3 (Monte Carlo): perturb the observed contributions with
-/// standard-normal multipliers for `B` replicates. Runs the blocked
-/// kernel at the default tile width [`MC_TILE`]; results are bitwise
-/// identical to [`monte_carlo_per_iteration`] for any tile width.
-pub fn monte_carlo<M: ScoreModel>(
-    model: &M,
-    genotype_rows: &[Vec<u8>],
-    weights: &[f64],
-    sets: &[SnpSet],
-    num_replicates: usize,
-    seed: u64,
-) -> ResamplingResult {
-    monte_carlo_blocked(
-        model,
-        genotype_rows,
-        weights,
-        sets,
-        num_replicates,
-        seed,
-        MC_TILE,
-    )
-}
-
-/// Blocked Algorithm 3: replicates are processed in tiles of `tile`
-/// multiplier vectors against the flat contribution matrix
-/// ([`perturb_scores_blocked`]), so `U` is streamed from memory once per
-/// `tile` replicates instead of once per replicate. The multiplier RNG
-/// stream, per-replicate perturbed scores, SKAT statistics, and
-/// exceedance counts are all bitwise identical to the per-iteration path.
+/// Algorithm 3 (Monte Carlo) at a fixed budget: [`monte_carlo_adaptive`]'s
+/// tile rounds with no stopping rule, so every set sees all `B`
+/// replicates. `U` is streamed from memory once per `tile` replicates;
+/// the multiplier stream, perturbed scores and exceedance counts are
+/// bitwise identical for every tile width (tile 1 is the one-pass-per-
+/// replicate schedule).
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_blocked<M: ScoreModel>(
     model: &M,
@@ -125,51 +102,19 @@ pub fn monte_carlo_blocked<M: ScoreModel>(
     seed: u64,
     tile: usize,
 ) -> ResamplingResult {
-    assert!(tile > 0, "tile width must be positive");
-    let n = model.num_patients();
-    let m = genotype_rows.len();
-    // The "cached U RDD" as one flat row-major m × n matrix, built through
-    // the allocation-free kernel (one write slice per SNP, no temporaries).
-    let mut contribs = vec![0.0f64; m * n];
-    for (g, row) in genotype_rows.iter().zip(contribs.chunks_exact_mut(n)) {
-        model.contributions_into(g, row);
-    }
-    let scores: Vec<f64> = contribs.chunks_exact(n).map(|c| c.iter().sum()).collect();
-    let observed = skat_all(&scores, weights, sets);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0usize; sets.len()];
-    let mut z_tile = vec![0.0f64; n * tile];
-    let mut tile_out = vec![0.0f64; m * tile];
-    let mut perturbed = vec![0.0f64; m];
-    let mut done = 0;
-    while done < num_replicates {
-        let k = tile.min(num_replicates - done);
-        // Draw the tile's multipliers replicate-by-replicate — the same
-        // draw order as the per-iteration path — transposed into the
-        // patient-major layout the kernel wants.
-        for kk in 0..k {
-            for (i, zi) in mc_weights(&mut rng, n).into_iter().enumerate() {
-                z_tile[i * k + kk] = zi;
-            }
-        }
-        perturb_scores_blocked(&contribs, m, n, &z_tile[..n * k], k, &mut tile_out[..m * k]);
-        for kk in 0..k {
-            for (j, p) in perturbed.iter_mut().enumerate() {
-                *p = tile_out[j * k + kk];
-            }
-            let replicate = skat_all(&perturbed, weights, sets);
-            for (s, (&rep, &obs)) in replicate.iter().zip(&observed).enumerate() {
-                if rep >= obs {
-                    counts[s] += 1;
-                }
-            }
-        }
-        done += k;
-    }
+    let run = tile_rounds(
+        model,
+        genotype_rows,
+        weights,
+        sets,
+        num_replicates,
+        seed,
+        tile,
+        None,
+    );
     ResamplingResult {
-        observed,
-        counts_ge: counts,
+        observed: run.observed,
+        counts_ge: run.counts_ge,
         num_replicates,
     }
 }
@@ -233,64 +178,91 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
     tile: usize,
     rule: &StoppingRule,
 ) -> AdaptiveResult {
+    tile_rounds(
+        model,
+        genotype_rows,
+        weights,
+        sets,
+        max_replicates,
+        seed,
+        tile,
+        Some(rule),
+    )
+}
+
+/// The one Algorithm 3 oracle body. Each round draws a tile of `tile`
+/// multiplier vectors, perturbs the rows still live (members of an
+/// undecided set) with [`perturb_rows_blocked`], and counts exceedances
+/// for every undecided set; with a `rule`, sets are then tested and may
+/// stop. With `None`, every set runs the full budget.
+#[allow(clippy::too_many_arguments)]
+fn tile_rounds<M: ScoreModel>(
+    model: &M,
+    genotype_rows: &[Vec<u8>],
+    weights: &[f64],
+    sets: &[SnpSet],
+    max_replicates: usize,
+    seed: u64,
+    tile: usize,
+    rule: Option<&StoppingRule>,
+) -> AdaptiveResult {
     assert!(tile > 0, "tile width must be positive");
     let n = model.num_patients();
     let m = genotype_rows.len();
-    let mut contribs = vec![0.0f64; m * n];
-    for (g, row) in genotype_rows.iter().zip(contribs.chunks_exact_mut(n)) {
-        model.contributions_into(g, row);
-    }
-    let scores: Vec<f64> = contribs.chunks_exact(n).map(|c| c.iter().sum()).collect();
+    // The "cached U RDD": one contribution row per SNP.
+    let contribs: Vec<Vec<f64>> = genotype_rows
+        .iter()
+        .map(|g| model.contributions(g))
+        .collect();
+    let scores: Vec<f64> = contribs.iter().map(|c| c.iter().sum()).collect();
     let observed = skat_all(&scores, weights, sets);
 
-    // SNPs that belong to at least one set: the work the fixed-B budget
-    // would spend, in row-replicate units.
-    let mut in_scope = vec![false; m];
-    for set in sets {
-        for &j in &set.members {
-            in_scope[j] = true;
+    // Rows a round must perturb: members of any undecided set, in SNP
+    // order. Before the first round that is every in-scope row.
+    let live_rows = |decided: &[bool]| -> Vec<usize> {
+        let mut live = vec![false; m];
+        for (set, _) in sets.iter().zip(decided).filter(|(_, &d)| !d) {
+            for &j in &set.members {
+                live[j] = true;
+            }
         }
-    }
-    let scope_rows = in_scope.iter().filter(|&&b| b).count();
+        (0..m).filter(|&j| live[j]).collect()
+    };
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut counts = vec![0usize; sets.len()];
     let mut used = vec![0usize; sets.len()];
     let mut decided = vec![false; sets.len()];
+    let scope_rows = live_rows(&decided).len();
     let mut replicates_run = 0u64;
     let mut z_tile = vec![0.0f64; n * tile];
     let mut tile_out = vec![0.0f64; m * tile];
     let mut perturbed = vec![0.0f64; m];
     let mut done = 0;
-    while done < max_replicates && decided.iter().any(|d| !d) {
+    while done < max_replicates && decided.contains(&false) {
         let k = tile.min(max_replicates - done);
-        // Draw the full tile even for rows that have dropped out — the
-        // stream must stay aligned with the fixed-B oracle's.
+        // Draw the tile replicate-by-replicate, transposed into the
+        // patient-major kernel layout. The full tile is drawn even when
+        // rows have dropped out, so the stream stays aligned across tile
+        // widths and stopping rules.
         for kk in 0..k {
             for (i, zi) in mc_weights(&mut rng, n).into_iter().enumerate() {
                 z_tile[i * k + kk] = zi;
             }
         }
-        perturb_scores_blocked(&contribs, m, n, &z_tile[..n * k], k, &mut tile_out[..m * k]);
-        let active_rows = (0..m)
-            .filter(|&j| {
-                in_scope[j]
-                    && sets
-                        .iter()
-                        .enumerate()
-                        .any(|(s, set)| !decided[s] && set.members.contains(&j))
-            })
-            .count();
-        replicates_run += (active_rows * k) as u64;
+        let ids = live_rows(&decided);
+        let rows: Vec<&[f64]> = ids.iter().map(|&j| contribs[j].as_slice()).collect();
+        let out = &mut tile_out[..ids.len() * k];
+        perturb_rows_blocked(&rows, n, &z_tile[..n * k], k, out);
+        replicates_run += (ids.len() * k) as u64;
         for kk in 0..k {
-            for (j, p) in perturbed.iter_mut().enumerate() {
-                *p = tile_out[j * k + kk];
+            // Slots of rows that are not live are stale, and no undecided
+            // set reads them.
+            for (r, &j) in ids.iter().enumerate() {
+                perturbed[j] = out[r * k + kk];
             }
             for (s, set) in sets.iter().enumerate() {
-                if decided[s] {
-                    continue;
-                }
-                if skat_statistic(&perturbed, weights, set) >= observed[s] {
+                if !decided[s] && skat_statistic(&perturbed, weights, set) >= observed[s] {
                     counts[s] += 1;
                 }
             }
@@ -299,9 +271,7 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
         for s in 0..sets.len() {
             if !decided[s] {
                 used[s] = done;
-                if rule.decided(counts[s], done) {
-                    decided[s] = true;
-                }
+                decided[s] = rule.is_some_and(|r| r.decided(counts[s], done));
             }
         }
     }
@@ -313,47 +283,6 @@ pub fn monte_carlo_adaptive<M: ScoreModel>(
         max_replicates,
         replicates_run,
         replicates_saved: potential.saturating_sub(replicates_run),
-    }
-}
-
-/// The pre-blocking Algorithm 3 reference: one full pass over the cached
-/// contributions per replicate. Kept as the oracle the blocked kernel is
-/// tested (and benchmarked) against.
-pub fn monte_carlo_per_iteration<M: ScoreModel>(
-    model: &M,
-    genotype_rows: &[Vec<u8>],
-    weights: &[f64],
-    sets: &[SnpSet],
-    num_replicates: usize,
-    seed: u64,
-) -> ResamplingResult {
-    let n = model.num_patients();
-    let contribs: Vec<Vec<f64>> = genotype_rows
-        .iter()
-        .map(|g| model.contributions(g))
-        .collect();
-    let scores: Vec<f64> = contribs.iter().map(|c| c.iter().sum()).collect();
-    let observed = skat_all(&scores, weights, sets);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0usize; sets.len()];
-    let mut perturbed = vec![0.0f64; genotype_rows.len()];
-    for _ in 0..num_replicates {
-        let z = mc_weights(&mut rng, n);
-        for (j, c) in contribs.iter().enumerate() {
-            perturbed[j] = c.iter().zip(&z).map(|(u, zi)| u * zi).sum();
-        }
-        let replicate = skat_all(&perturbed, weights, sets);
-        for (k, (&rep, &obs)) in replicate.iter().zip(&observed).enumerate() {
-            if rep >= obs {
-                counts[k] += 1;
-            }
-        }
-    }
-    ResamplingResult {
-        observed,
-        counts_ge: counts,
-        num_replicates,
     }
 }
 
@@ -434,35 +363,32 @@ mod tests {
     #[test]
     fn mc_observed_matches_algorithm1() {
         let (model, rows, weights, sets) = tiny_cohort();
-        let res = monte_carlo(&model, &rows, &weights, &sets, 10, 42);
+        let res = monte_carlo_blocked(&model, &rows, &weights, &sets, 10, 42, MC_TILE);
         assert_eq!(res.observed, observed_skat(&model, &rows, &weights, &sets));
         assert_eq!(res.num_replicates, 10);
     }
 
     #[test]
     fn mc_blocked_is_bitwise_identical_to_per_iteration() {
-        // Any tile width — including 1, a width that doesn't divide B, and
-        // the default — must reproduce the per-iteration path exactly
-        // (same RNG stream, same statistics, same counts).
+        // Tile 1 is the per-iteration schedule: one pass over `U` per
+        // replicate. A width that doesn't divide B and the default width
+        // must reproduce it exactly (same RNG stream, same statistics,
+        // same counts).
         let (model, rows, weights, sets) = tiny_cohort();
-        let reference = monte_carlo_per_iteration(&model, &rows, &weights, &sets, 101, 42);
-        for tile in [1, 3, MC_TILE] {
+        let reference = monte_carlo_blocked(&model, &rows, &weights, &sets, 101, 42, 1);
+        for tile in [3, MC_TILE] {
             let blocked = monte_carlo_blocked(&model, &rows, &weights, &sets, 101, 42, tile);
             assert_eq!(blocked, reference, "tile={tile}");
         }
-        assert_eq!(
-            monte_carlo(&model, &rows, &weights, &sets, 101, 42),
-            reference
-        );
     }
 
     #[test]
     fn mc_is_deterministic_per_seed() {
         let (model, rows, weights, sets) = tiny_cohort();
-        let a = monte_carlo(&model, &rows, &weights, &sets, 50, 7);
-        let b = monte_carlo(&model, &rows, &weights, &sets, 50, 7);
+        let a = monte_carlo_blocked(&model, &rows, &weights, &sets, 50, 7, MC_TILE);
+        let b = monte_carlo_blocked(&model, &rows, &weights, &sets, 50, 7, MC_TILE);
         assert_eq!(a, b);
-        let c = monte_carlo(&model, &rows, &weights, &sets, 50, 8);
+        let c = monte_carlo_blocked(&model, &rows, &weights, &sets, 50, 8, MC_TILE);
         // Different seed should (almost surely) differ somewhere.
         assert!(a.counts_ge != c.counts_ge || a.observed == c.observed);
     }
@@ -478,7 +404,7 @@ mod tests {
     #[test]
     fn pvalues_in_unit_interval_and_match_counts() {
         let (model, rows, weights, sets) = tiny_cohort();
-        let res = monte_carlo(&model, &rows, &weights, &sets, 99, 5);
+        let res = monte_carlo_blocked(&model, &rows, &weights, &sets, 99, 5, MC_TILE);
         let ps = res.pvalues();
         for (p, &c) in ps.iter().zip(&res.counts_ge) {
             assert!((0.0..=1.0).contains(p));
@@ -500,7 +426,7 @@ mod tests {
             .map(|k| SnpSet::new(k as u64, (3 * k..3 * k + 3).collect()))
             .collect();
         let model = GaussianScore::new(&y);
-        let res = monte_carlo(&model, &rows, &weights, &sets, 200, 99);
+        let res = monte_carlo_blocked(&model, &rows, &weights, &sets, 200, 99, MC_TILE);
         let ps = res.pvalues();
         let small = ps.iter().filter(|&&p| p < 0.05).count();
         assert!(
@@ -526,7 +452,7 @@ mod tests {
         let sets = vec![SnpSet::new(0, vec![0]), SnpSet::new(1, vec![1])];
         let model = GaussianScore::new(&y);
 
-        let mc = monte_carlo(&model, &rows, &weights, &sets, 199, 5).pvalues();
+        let mc = monte_carlo_blocked(&model, &rows, &weights, &sets, 199, 5, MC_TILE).pvalues();
         assert!(mc[0] <= 0.01, "causal set must be significant (mc: {mc:?})");
         assert!(mc[1] > 0.05, "noise set must not be (mc: {mc:?})");
 
@@ -562,7 +488,7 @@ mod tests {
             SnpSet::new(1, vec![4, 5, 6, 7]),
         ];
         let model = GaussianScore::new(&y);
-        let mc = monte_carlo(&model, &rows, &weights, &sets, 400, 1).pvalues();
+        let mc = monte_carlo_blocked(&model, &rows, &weights, &sets, 400, 1, MC_TILE).pvalues();
         let pm = permutation(
             &model,
             |p| model.permuted(p),

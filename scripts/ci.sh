@@ -19,6 +19,12 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
+echo "== perfbench: build and test the benchmark workspace =="
+# perfbench is a Cargo workspace of its own, so the steps above never
+# compile it; its tests run every workload at a tiny size through the
+# sequential-oracle correctness gate.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== trace smoke: quickstart event log -> trace report/dot =="
 events_dir="$(mktemp -d)"
 trap 'rm -rf "$events_dir"' EXIT

@@ -1,6 +1,7 @@
 //! The distributed pipelines must reproduce the sequential reference
 //! implementations exactly (same seeds → same replicate sequences → same
-//! counters), from both in-memory and DFS-text inputs.
+//! counters), from both in-memory and DFS-text inputs, over disjoint and
+//! overlapping SNP-set layouts.
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use sparkscore_cluster::ClusterSpec;
 use sparkscore_core::{AnalysisOptions, SparkScoreContext};
 use sparkscore_data::{write_dataset_to_dfs, GwasDataset, SyntheticConfig, WeightScheme};
 use sparkscore_rdd::Engine;
-use sparkscore_stats::resample;
+use sparkscore_stats::resample::{self, MC_TILE};
 use sparkscore_stats::score::CoxScore;
 
 fn engine(nodes: u32) -> Arc<Engine> {
@@ -27,6 +28,17 @@ fn dataset(seed: u64) -> GwasDataset {
     GwasDataset::generate(&cfg)
 }
 
+/// The cohort of `seed` twice: with its disjoint sets, and with set 0
+/// also holding every member of set 1, so the two sets share SNPs as
+/// overlapping gene annotations do.
+fn layouts(seed: u64) -> [GwasDataset; 2] {
+    let disjoint = dataset(seed);
+    let mut overlapping = disjoint.clone();
+    let shared = overlapping.sets[1].members.clone();
+    overlapping.sets[0].members.extend(shared);
+    [disjoint, overlapping]
+}
+
 fn assert_scores_close(distributed: &[sparkscore_core::SetScore], reference: &[f64]) {
     assert_eq!(distributed.len(), reference.len());
     for (d, &r) in distributed.iter().zip(reference) {
@@ -42,78 +54,97 @@ fn assert_scores_close(distributed: &[sparkscore_core::SetScore], reference: &[f
 
 #[test]
 fn observed_skat_matches_reference_from_memory() {
-    let ds = dataset(21);
-    let ctx = SparkScoreContext::from_memory(engine(3), &ds, 5, AnalysisOptions::default());
-    let obs = ctx.observed();
-    let model = CoxScore::new(&ds.phenotypes);
-    let reference = resample::observed_skat(&model, &ds.genotype_rows(), &ds.weights, &ds.sets);
-    assert_scores_close(&obs.scores, &reference);
+    for ds in layouts(21) {
+        let ctx = SparkScoreContext::from_memory(engine(3), &ds, 5, AnalysisOptions::default());
+        let obs = ctx.observed();
+        let model = CoxScore::new(&ds.phenotypes);
+        let reference = resample::observed_skat(&model, &ds.genotype_rows(), &ds.weights, &ds.sets);
+        assert_scores_close(&obs.scores, &reference);
+    }
 }
 
 #[test]
 fn observed_skat_matches_reference_from_dfs_text() {
-    let ds = dataset(22);
-    let e = engine(3);
-    let (paths, _) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
-    let ctx = SparkScoreContext::from_dfs(Arc::clone(&e), &paths, AnalysisOptions::default())
-        .expect("inputs exist");
-    let obs = ctx.observed();
-    let model = CoxScore::new(&ds.phenotypes);
-    let reference = resample::observed_skat(&model, &ds.genotype_rows(), &ds.weights, &ds.sets);
-    // Text serialization rounds survival times to 1e-6; tolerance reflects
-    // that, scaled by the squared-score magnitudes.
-    for (d, &r) in obs.scores.iter().zip(&reference) {
-        assert!(
-            (d.score - r).abs() <= 1e-3 * (1.0 + r.abs()),
-            "set {}: {} vs {}",
-            d.set,
-            d.score,
-            r
-        );
+    for ds in layouts(22) {
+        let e = engine(3);
+        let (paths, _) = write_dataset_to_dfs(e.dfs(), "/gwas", &ds).unwrap();
+        let ctx = SparkScoreContext::from_dfs(Arc::clone(&e), &paths, AnalysisOptions::default())
+            .expect("inputs exist");
+        let obs = ctx.observed();
+        let model = CoxScore::new(&ds.phenotypes);
+        let reference = resample::observed_skat(&model, &ds.genotype_rows(), &ds.weights, &ds.sets);
+        // Text serialization rounds survival times to 1e-6; tolerance
+        // reflects that, scaled by the squared-score magnitudes.
+        for (d, &r) in obs.scores.iter().zip(&reference) {
+            assert!(
+                (d.score - r).abs() <= 1e-3 * (1.0 + r.abs()),
+                "set {}: {} vs {}",
+                d.set,
+                d.score,
+                r
+            );
+        }
     }
 }
 
 #[test]
 fn monte_carlo_counts_match_reference_exactly() {
-    let ds = dataset(23);
-    let ctx = SparkScoreContext::from_memory(engine(2), &ds, 4, AnalysisOptions::default());
-    let run = ctx.monte_carlo(50, 99, true);
-    let model = CoxScore::new(&ds.phenotypes);
-    let reference =
-        resample::monte_carlo(&model, &ds.genotype_rows(), &ds.weights, &ds.sets, 50, 99);
-    assert_scores_close(&run.observed, &reference.observed);
-    assert_eq!(run.counts_ge, reference.counts_ge);
-    assert_eq!(run.pvalues(), reference.pvalues());
+    for ds in layouts(23) {
+        let ctx = SparkScoreContext::from_memory(engine(2), &ds, 4, AnalysisOptions::default());
+        let run = ctx.monte_carlo(50, 99, true);
+        let model = CoxScore::new(&ds.phenotypes);
+        let reference = resample::monte_carlo_blocked(
+            &model,
+            &ds.genotype_rows(),
+            &ds.weights,
+            &ds.sets,
+            50,
+            99,
+            MC_TILE,
+        );
+        assert_scores_close(&run.observed, &reference.observed);
+        assert_eq!(run.counts_ge, reference.counts_ge);
+        assert_eq!(run.pvalues(), reference.pvalues());
+    }
 }
 
 #[test]
 fn monte_carlo_without_cache_matches_too() {
-    let ds = dataset(29);
-    let ctx = SparkScoreContext::from_memory(engine(2), &ds, 4, AnalysisOptions::default());
-    let run = ctx.monte_carlo(25, 7, false);
-    let model = CoxScore::new(&ds.phenotypes);
-    let reference =
-        resample::monte_carlo(&model, &ds.genotype_rows(), &ds.weights, &ds.sets, 25, 7);
-    assert_eq!(run.counts_ge, reference.counts_ge);
+    for ds in layouts(29) {
+        let ctx = SparkScoreContext::from_memory(engine(2), &ds, 4, AnalysisOptions::default());
+        let run = ctx.monte_carlo(25, 7, false);
+        let model = CoxScore::new(&ds.phenotypes);
+        let reference = resample::monte_carlo_blocked(
+            &model,
+            &ds.genotype_rows(),
+            &ds.weights,
+            &ds.sets,
+            25,
+            7,
+            MC_TILE,
+        );
+        assert_eq!(run.counts_ge, reference.counts_ge);
+    }
 }
 
 #[test]
 fn permutation_counts_match_reference_exactly() {
-    let ds = dataset(31);
-    let ctx = SparkScoreContext::from_memory(engine(2), &ds, 4, AnalysisOptions::default());
-    let run = ctx.permutation(30, 5);
-    let model = CoxScore::new(&ds.phenotypes);
-    let reference = resample::permutation(
-        &model,
-        |p| model.permuted(p),
-        &ds.genotype_rows(),
-        &ds.weights,
-        &ds.sets,
-        30,
-        5,
-    );
-    assert_scores_close(&run.observed, &reference.observed);
-    assert_eq!(run.counts_ge, reference.counts_ge);
+    for ds in layouts(31) {
+        let ctx = SparkScoreContext::from_memory(engine(2), &ds, 4, AnalysisOptions::default());
+        let run = ctx.permutation(30, 5);
+        let model = CoxScore::new(&ds.phenotypes);
+        let reference = resample::permutation(
+            &model,
+            |p| model.permuted(p),
+            &ds.genotype_rows(),
+            &ds.weights,
+            &ds.sets,
+            30,
+            5,
+        );
+        assert_scores_close(&run.observed, &reference.observed);
+        assert_eq!(run.counts_ge, reference.counts_ge);
+    }
 }
 
 #[test]
